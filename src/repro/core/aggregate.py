@@ -17,14 +17,13 @@ feedback loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.engine.buffers import BufferStats
 from repro.engine.operator import ProcessReceipt, StreamOperator
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import AggregateResult, StreamTuple
 
 from .basic_windows import PartitionedWindow
 from .throttle import ThrottleController
@@ -41,16 +40,6 @@ _AGGREGATES: dict[str, tuple[Callable[[np.ndarray], float], bool]] = {
     "min": (lambda values: float(values.min()) if len(values) else 0.0,
             False),
 }
-
-
-@dataclass(slots=True)
-class AggregateResult:
-    """One emitted window aggregate."""
-
-    value: float
-    window_end: float
-    sampled_fraction: float
-    timestamp: float = 0.0
 
 
 class ThrottledAggregateOperator(StreamOperator):

@@ -24,8 +24,9 @@ def shard_result_transform(
 ) -> Callable[[JoinResult], StreamTuple]:
     """Edge transform for ``shard -> merger``: pack a join result into a
     stream tuple stamped with the shard index and the result's logical
-    emission time (its youngest constituent's timestamp — graph nodes do
-    not restamp outputs, so this keeps merger-side ordering meaningful).
+    emission time — its youngest constituent's timestamp, not the
+    shard's service-completion stamp, so merger-side ordering does not
+    depend on how the shards' services interleave on the shared CPU.
     """
 
     def _pack(result: JoinResult) -> StreamTuple:

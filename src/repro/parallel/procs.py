@@ -67,6 +67,7 @@ from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Sequence
 
 from repro.engine.buffers import BufferStats
+from repro.engine.graph import tick_times
 from repro.engine.operator import StreamOperator
 from repro.obs.aggregate import DeltaShipper, TelemetryAggregator
 from repro.obs.dashboard import render_fleet
@@ -106,7 +107,8 @@ def _worker_main(
     :class:`StreamTuple` batches come in and result identity keys (plus
     telemetry deltas) go out.  Virtual time inside the worker is each
     tuple's delivery time, and adaptation ticks are replayed at the
-    same multiples of ``adaptation_interval`` the simulator would fire.
+    instants the simulator fires them (the shared
+    :func:`~repro.engine.graph.tick_times` cadence).
     Tick buffer statistics are synthesized from the arrival counts
     since the previous tick (everything routed here was delivered:
     ``pushed == popped``, nothing dropped, no standing queue) — enough
@@ -131,9 +133,11 @@ def _worker_main(
             obs.bind_clock(lambda: clock[0])
             operator.bind_obs(obs)
             shipper = DeltaShipper(obs, worker_id)
-        next_adapt = (
-            adaptation_interval if adaptation_interval else None
+        ticks = (
+            tick_times(adaptation_interval) if adaptation_interval
+            else iter(())
         )
+        next_adapt = next(ticks, None)
         arrivals = [0] * operator.num_streams
         while True:
             msg = conn.recv()
@@ -162,7 +166,7 @@ def _worker_main(
                                 f"adapt tick t={next_adapt:g}",
                             )
                             arrivals = [0] * operator.num_streams
-                            next_adapt += adaptation_interval
+                            next_adapt = next(ticks)
                     clock[0] = now
                     arrivals[tup.stream] += 1
                     receipt = operator.process(tup, now)

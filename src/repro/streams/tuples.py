@@ -84,3 +84,20 @@ class JoinResult:
         """A hashable identity for deduplication in tests: the
         ``(stream, seq)`` pairs of all constituents."""
         return tuple((t.stream, t.seq) for t in self.constituents)
+
+
+@dataclass(slots=True)
+class AggregateResult:
+    """One emitted window aggregate.
+
+    Attributes:
+        value: The aggregate over the window's (sampled) tuples.
+        window_end: End of the aggregated window in (virtual) seconds.
+        sampled_fraction: Share of the window's tuples the aggregate saw.
+        timestamp: Emission time of the result.
+    """
+
+    value: float
+    window_end: float
+    sampled_fraction: float
+    timestamp: float = 0.0

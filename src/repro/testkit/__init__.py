@@ -45,6 +45,7 @@ from .differential import (
     mjoin_ids,
     oracle_ids,
     procs_ids,
+    query_ids,
     randomdrop_ids,
     run_config,
     sharded_ids,
@@ -128,6 +129,7 @@ __all__ = [
     "oracle_ids",
     "oracle_join",
     "procs_ids",
+    "query_ids",
     "random_scenario_workload",
     "random_workload",
     "randomdrop_ids",

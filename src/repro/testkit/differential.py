@@ -2,15 +2,16 @@
 
 The harness runs a frozen :class:`~repro.testkit.workloads.Workload`
 through any of the repo's execution paths — plain MJoin, the indexed
-variant, GrubJoin (feedback-throttled or pinned at a fixed ``z``), the
+variant, the :class:`~repro.query.Query` builder on the dataflow-graph
+runtime, GrubJoin (feedback-throttled or pinned at a fixed ``z``), the
 RandomDrop baseline, and the sharded dataflow plan — and diffs the
 resulting identity sets against :func:`repro.testkit.oracle.oracle_join`.
 
 Two comparison modes cover the repo's two correctness contracts:
 
 * ``equal`` — unconstrained CPU, no shedding: the engine must produce the
-  oracle's output exactly (MJoin, IndexedMJoin, GrubJoin at ``z = 1``,
-  ShardedPlan at any ``K`` for co-partitioning predicates).
+  oracle's output exactly (MJoin, IndexedMJoin, Query, GrubJoin at
+  ``z = 1``, ShardedPlan at any ``K`` for co-partitioning predicates).
 * ``subset`` — any shedding configuration: the engine may drop results
   but must never invent one (the paper's max-subset semantics).
 
@@ -30,6 +31,7 @@ from repro.joins import IndexedMJoin, MJoinOperator, RandomDropShedder
 from repro.joins.columnar import supports_columnar
 from repro.joins.variants import SHEDDABLE_MODES
 from repro.parallel import build_sharded_graph
+from repro.query import Query
 
 from .oracle import IdVector, OracleResult, oracle_join, window_state
 from .workloads import Workload
@@ -123,6 +125,32 @@ def indexed_ids(
     )
     return _simulate(workload, operator, capacity,
                      sanitizer=_make_sanitizer(sanitize))
+
+
+def query_ids(workload: Workload) -> set[IdVector]:
+    """Run the workload through the :class:`~repro.query.Query` builder
+    (its join mode and window policy, no shedding) on the dataflow-graph
+    runtime and return the join stage's identity set.
+
+    No ``sanitize`` parameter: the builder constructs its own join
+    operator, which the sanitizer cannot wrap; the MJoin rows certify
+    that operator under the sanitizer, and this row the graph runtime
+    around it (end-of-run flush of anti/outer survivors included).
+    """
+    query = (
+        Query()
+        .streams(*workload.traces)
+        .window(workload.window, basic=workload.basic,
+                policy=workload.window_policy)
+        .join(workload.predicate, shedding="none", mode=workload.mode)
+    )
+    query.validate().raise_for_errors()
+    graph, _ = query.build(UNBOUNDED_CAPACITY)
+    result = graph.run(
+        CpuModel(UNBOUNDED_CAPACITY), run_config(workload),
+        validate=False, retain_outputs=True,
+    )
+    return {r.key() for r in result.nodes["join"].outputs}
 
 
 def grubjoin_ids(
@@ -500,8 +528,8 @@ def differential_matrix(
 ) -> dict:
     """Run the full differential grid and return a JSON-able verdict.
 
-    Per workload: oracle ≡ MJoin ≡ IndexedMJoin ≡ GrubJoin(z=1) ≡
-    ShardedPlan(K) for co-partitioning predicates — and, when the
+    Per workload: oracle ≡ MJoin ≡ IndexedMJoin ≡ Query ≡ GrubJoin(z=1)
+    ≡ ShardedPlan(K) for co-partitioning predicates — and, when the
     predicate has a columnar kernel, the same equalities again with the
     fast path forced on (``*_fast`` rows) and with partition indexes
     under the kernel (``*_indexed`` rows: range always, hash at
@@ -516,7 +544,7 @@ def differential_matrix(
 
     Non-plain workloads (semi/anti/outer modes, tumbling/session
     windows — the scenario grid) run the rows their contracts cover:
-    the MJoin/IndexedMJoin equality rows always, the GrubJoin, fast
+    the MJoin/IndexedMJoin/Query equality rows always, the GrubJoin, fast
     path, sharded/procs and pinned-z rows only on the paper's home turf
     (inner + sliding, where they are defined and certified), and the
     RandomDrop subset row whenever shedding is sound for the mode
@@ -525,7 +553,8 @@ def differential_matrix(
     a tumbling/session cut at a later instant than the oracle, which
     can legitimately resurrect results the probe-time cut excluded).
 
-    ``sanitize=True`` runs every row under the determinism sanitizer
+    ``sanitize=True`` runs every row but ``query`` and ``procs_k{K}``
+    under the determinism sanitizer
     (:mod:`repro.testkit.sanitizer`): a write that contradicts the
     static effect manifest raises
     :class:`~repro.testkit.sanitizer.DeterminismViolation` instead of
@@ -551,6 +580,9 @@ def differential_matrix(
         _check(reports, renders, "indexed", reference,
                indexed_ids(workload, sanitize=sanitize), workload,
                "equal")
+        if not sanitize:
+            _check(reports, renders, "query", reference,
+                   query_ids(workload), workload, "equal")
         if plain:
             _check(reports, renders, "grubjoin_z1", reference,
                    grubjoin_ids(workload, pin_z=1.0, fastpath=False,

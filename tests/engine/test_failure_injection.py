@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import (
     CpuModel,
+    DataflowGraph,
     ProcessReceipt,
     Simulation,
     SimulationConfig,
@@ -34,32 +35,52 @@ def make_source(rate=20.0):
                                                               rng=0))
 
 
+def run_simulation(op, cpu, cfg):
+    """Run ``op`` under the Simulation runtime; returns
+    ``(operator_errors, outputs emitted)``."""
+    sim = Simulation([make_source()], op, cpu, cfg)
+    result = sim.run()
+    return sim.operator_errors, result.output_count_total
+
+
+def run_graph(op, cpu, cfg):
+    """Run ``op`` as the only node of a DataflowGraph; same returns."""
+    g = DataflowGraph()
+    g.add_node("op", op)
+    g.add_source("op", 0, make_source())
+    node = g.run(cpu, cfg).nodes["op"]
+    return node.operator_errors, node.output_count
+
+
 class TestErrorPolicies:
+    """Every case runs on the Simulation runtime here and on a one-node
+    DataflowGraph in :class:`TestErrorPoliciesGraph`."""
+
+    run = staticmethod(run_simulation)
+
     def test_raise_policy_propagates(self):
         op = FragileOperator()
         cfg = SimulationConfig(duration=10.0, warmup=0.0,
                                on_operator_error="raise")
         with pytest.raises(RuntimeError, match="poisoned"):
-            Simulation([make_source()], op, CpuModel(1e9), cfg).run()
+            self.run(op, CpuModel(1e9), cfg)
 
     def test_skip_policy_keeps_flowing(self):
         op = FragileOperator(poison_below=10.0)  # ~10% of tuples poisoned
         cfg = SimulationConfig(duration=10.0, warmup=0.0,
                                on_operator_error="skip")
-        sim = Simulation([make_source()], op, CpuModel(1e9), cfg)
-        res = sim.run()
-        assert sim.operator_errors > 0
-        assert op.processed + sim.operator_errors == 200
-        assert res.output_count_total == op.processed
+        errors, outputs = self.run(op, CpuModel(1e9), cfg)
+        assert errors > 0
+        assert op.processed + errors == 200
+        assert outputs == op.processed
 
     def test_skip_policy_charges_no_work_for_failures(self):
         op = FragileOperator(poison_below=200.0)  # everything poisoned
         cfg = SimulationConfig(duration=5.0, warmup=0.0,
                                on_operator_error="skip")
         cpu = CpuModel(1e9, tuple_overhead=1.0)
-        sim = Simulation([make_source()], op, cpu, cfg)
-        sim.run()
-        assert sim.operator_errors == 100
+        errors, _ = self.run(op, cpu, cfg)
+        assert errors == 100
         # only the per-tuple overhead was charged
         assert cpu.busy_time == pytest.approx(100 * 1.0 / 1e9)
 
@@ -69,3 +90,7 @@ class TestErrorPolicies:
 
     def test_default_is_raise(self):
         assert SimulationConfig().on_operator_error == "raise"
+
+
+class TestErrorPoliciesGraph(TestErrorPolicies):
+    run = staticmethod(run_graph)

@@ -110,3 +110,25 @@ class TestRetainOutputs:
                        SimulationConfig(duration=5.0, warmup=0.0))
         assert result.nodes["pass"].output_count > 0
         assert result.nodes["pass"].outputs == []
+
+
+class TestStreamAccounting:
+    def test_buffer_overflow_counted(self):
+        # 100 tuples/s into a node that serves 50/s through a 5-slot
+        # buffer: the overflow is dropped, and the node says so
+        g = DataflowGraph()
+        g.add_node("pass", FilterOperator(lambda v: True),
+                   buffer_capacity=5)
+        g.add_source("pass", 0, StreamSource(0, ConstantRate(100.0),
+                                             UniformProcess(rng=0)))
+        result = g.run(CpuModel(50.0),
+                       SimulationConfig(duration=10.0, warmup=0.0))
+        counters = result.nodes["pass"].streams[0]
+        assert counters.arrived == 1000
+        assert counters.dropped_at_buffer > 0
+        assert counters.dropped_at_admission == 0
+        assert (
+            counters.admitted + counters.dropped_at_buffer
+            == counters.arrived
+        )
+        assert counters.consumed <= counters.admitted

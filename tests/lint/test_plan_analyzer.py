@@ -375,21 +375,24 @@ class TestModeAndPolicyRules:
         )
 
     def test_anti_and_outer_queries_rejected(self):
+        # no longer rejected: the graph runtime flushes their survivors
         for mode in ("anti", "outer"):
             report = analyze_query(self.make(mode=mode, shedding="none"))
-            assert "P130" in error_codes(report), mode
+            assert report.ok, report.render()
 
     def test_anti_and_outer_build_raises(self):
+        # no longer raises: anti/outer queries build like any other
         for mode in ("anti", "outer"):
-            with pytest.raises(ValueError, match="P130"):
-                self.make(mode=mode, shedding="none").build(capacity=10.0)
+            graph, _ = self.make(mode=mode, shedding="none").build(
+                capacity=10.0
+            )
+            assert graph.node_operators()["join"].mode.value == mode
 
     def test_shedding_with_anti_join_is_unsound(self):
         report = analyze_query(self.make(mode="anti",
                                          shedding="randomdrop"))
         codes = error_codes(report)
         assert "P131" in codes
-        assert "P130" in codes  # the mode itself is also unrunnable here
         assert any(
             "invent" in d.message
             for d in report.errors if d.code == "P131"
@@ -440,6 +443,7 @@ class TestModeAndPolicyRules:
         ], report.render()
 
     def test_graph_anti_node_rejected(self):
+        # no longer rejected: the graph runtime flushes anti survivors
         g = DataflowGraph()
         join = MJoinOperator(EpsilonJoin(1.0), [10.0] * 3, 1.0,
                              mode="anti")
@@ -447,11 +451,7 @@ class TestModeAndPolicyRules:
         for i, src in enumerate(make_sources()):
             g.add_source("join", i, src)
         report = analyze_graph(g)
-        assert "P130" in error_codes(report)
-        assert any(
-            "Simulation runtime" in d.message
-            for d in report.errors if d.code == "P130"
-        )
+        assert report.ok, report.render()
 
     def test_graph_session_node_warns_on_ragged_gap(self):
         from repro.streams.windows import SessionWindow

@@ -3,8 +3,13 @@
 import pytest
 
 from repro import EpsilonJoin
+from repro.core import ThrottledAggregateOperator
+from repro.engine import CpuModel, SimulationConfig
+from repro.joins import EquiJoin
 from repro.query import Query
-from repro.testkit.workloads import drift_sources
+from repro.streams import ConstantRate, StreamSource, StreamTuple
+from repro.streams.stochastic import ZipfKeyProcess
+from repro.testkit.workloads import drift_sources, freeze
 
 
 def make_sources(m=3, rate=30.0, seed=0):
@@ -109,3 +114,75 @@ class TestExecution:
         )
         assert result.join_operator.throttle_fraction < 1.0
         assert result.output_rate > 0
+
+
+class TestEmissionTimestamps:
+    """Join results leave the graph stamped with their emission time,
+    so time-windowed stages downstream see them at the right instant."""
+
+    @staticmethod
+    def zipf_traces():
+        # 41.3/s: no tuple sits exactly one aggregate window (5 s) before
+        # another, so the aggregate's expiry cut never splits a tie
+        return freeze(
+            [
+                StreamSource(
+                    i,
+                    ConstantRate(41.3, phase=0.0123 + i * 1e-3),
+                    ZipfKeyProcess(50, alpha=1.1, rng=3 + i),
+                )
+                for i in range(2)
+            ],
+            30.0,
+        )
+
+    def test_windowed_count_over_join_results(self):
+        query = (
+            Query()
+            .streams(*self.zipf_traces())
+            .window(4.0, basic=1.0)
+            .join(EquiJoin(), shedding="none")
+            .select(lambda v: 1.0)
+            .aggregate("count", window=5.0, slide=1.0)
+        )
+        graph, placeholder = query.build(capacity=1e12)
+        result = graph.run(
+            CpuModel(1e12),
+            SimulationConfig(duration=30.0, warmup=0.0),
+            retain_outputs=True,
+        )
+        joined = result.nodes["join"].outputs
+        counts = result.nodes[placeholder.stage_names[-1]].outputs
+        stamps = [r.timestamp for r in joined]
+        assert stamps[0] > 0.0 and stamps == sorted(stamps)
+
+        # the same count, computed from the stamped join outputs alone
+        reference = ThrottledAggregateOperator(
+            "count", window_size=5.0, slide=1.0
+        )
+        expected = []
+        for r in joined:
+            probe = StreamTuple(value=1.0, timestamp=r.timestamp)
+            expected += reference.process(probe, r.timestamp).outputs
+        observed = [(a.window_end, a.value) for a in counts]
+        assert observed == [(a.window_end, a.value) for a in expected]
+        late = [value for end, value in observed if end > 5.0]
+        assert len(late) == 24 and all(value > 0 for value in late)
+
+
+class TestDeferredEmissionModes:
+    """Anti/outer survivors released by the end-of-run flush reach the
+    downstream stages."""
+
+    def test_anti_survivors_flow_downstream(self):
+        result = (
+            Query()
+            .streams(*make_sources(rate=10.0))
+            .window(2.0, basic=1.0)
+            .join(EpsilonJoin(0.5), shedding="none", mode="anti")
+            .where(lambda v: True)
+            .run(capacity=1e12, duration=8.0, warmup=0.0)
+        )
+        join = result.stage("join")
+        assert join.output_count > 0
+        assert result.stage("where0").output_count == join.output_count

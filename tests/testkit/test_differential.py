@@ -166,7 +166,7 @@ class TestMatrix:
         drift_checks = verdict["workloads"][drift3.name]["checks"]
         keys_checks = verdict["workloads"][keys3.name]["checks"]
         assert set(drift_checks) == {
-            "mjoin", "mjoin_fast", "indexed",
+            "mjoin", "mjoin_fast", "indexed", "query",
             "grubjoin_z1", "grubjoin_z1_warm", "grubjoin_z1_fast",
             "mjoin_range_indexed", "grubjoin_z1_indexed",
             "sharded_k1", "sharded_k1_fast",

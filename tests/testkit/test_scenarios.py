@@ -10,6 +10,7 @@ from repro.testkit import (
     mjoin_ids,
     oracle_ids,
     oracle_join,
+    query_ids,
     register_scenario,
     scenario_names,
     scenario_workload,
@@ -130,3 +131,4 @@ class TestDifferentialProof:
         reference = oracle_ids(w).id_set
         assert set(mjoin_ids(w)) == reference
         assert set(indexed_ids(w)) == reference
+        assert set(query_ids(w)) == reference
