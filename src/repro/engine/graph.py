@@ -524,6 +524,7 @@ class DataflowGraph:
         self._nodes: dict[str, GraphNode] = {}
         self._sources: list[tuple[str, int, Any]] = []
         self._edges: list[Edge] = []
+        self._ran = False
 
     # ------------------------------------------------------------------
     # construction
@@ -651,9 +652,20 @@ class DataflowGraph:
         counters and queue-depth series are recorded, and the virtual
         clock is bound to the sink.  ``None`` (default) keeps
         instrumentation off.
+
+        A graph runs once: its operators keep the window state the run
+        left behind, so a second run could not reproduce the first.
+        Build a new graph (and operators) to run again.
         """
+        if self._ran:
+            raise RuntimeError(
+                "DataflowGraph.run() was already called; a graph runs "
+                "once (its operators keep their window state) — build a "
+                "new graph with fresh operators"
+            )
         if validate:
             self.validate().raise_for_errors()
+        self._ran = True
         if config is None:
             from .runtime import SimulationConfig
 

@@ -114,9 +114,22 @@ class Simulation:
             None, operator, self.admission, self.config.buffer_capacity
         )
         self._node.output.retain = retain_outputs
+        self._ran = False
 
     def run(self) -> SimulationResult:
-        """Execute the simulation and return its measurements."""
+        """Execute the simulation and return its measurements.
+
+        A simulation runs once: its operator keeps the window state the
+        run left behind, so a second run could not reproduce the first.
+        Build a new :class:`Simulation` (and operator) to run again.
+        """
+        if self._ran:
+            raise RuntimeError(
+                "Simulation.run() was already called; a simulation runs "
+                "once (its operator keeps its window state) — build a "
+                "new Simulation with a fresh operator"
+            )
+        self._ran = True
         node = self._node
         run_loop(
             [node],

@@ -189,6 +189,8 @@ class PackageIndex:
         self.package = package
         self.modules: dict[str, ModuleInfo] = {}
         self.errors: list[str] = []
+        #: the tree :meth:`build` indexed (None for hand-built indexes)
+        self.src_root: Path | None = None
 
     # -- construction --------------------------------------------------
 
@@ -197,6 +199,7 @@ class PackageIndex:
               package: str = "repro") -> "PackageIndex":
         """Index every ``.py`` file under ``src_root/<package>``."""
         index = cls(package)
+        index.src_root = Path(src_root)
         root = Path(src_root) / package
         for file in sorted(root.rglob("*.py")):
             rel = file.relative_to(root).with_suffix("")

@@ -40,18 +40,26 @@ upgraded through a reviewed baseline entry (rule P123).
 Entry points:
 
 * :func:`analyze_package` — certify every operator class under
-  ``src/repro`` (cached per source root).
+  ``src/repro`` (cached per source root).  Always analyses.
 * :func:`classify_class` — certify one runtime class object, including
-  classes defined outside the package (test operators).
+  classes defined outside the package (test operators).  Package
+  classes are read from the committed manifest when its
+  ``source_digest`` matches the tree; any mismatch, a missing or
+  unreadable manifest, or a class it does not list falls back to
+  :func:`analyze_package`.
+* :func:`source_digest` — sha256 over every source file the analysis
+  parses; the key that ties a manifest to the tree it was built from.
 * :func:`build_manifest` / ``python -m repro.lint --effects`` — the
   byte-stable JSON manifest CI diffs against
-  ``benchmarks/effects/MANIFEST.json``.
+  ``benchmarks/effects/MANIFEST.json``.  Always analyses: the drift
+  gate never trusts the file it checks.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -1017,6 +1025,21 @@ class ClassCertificate:
             "why": self.why,
         }
 
+    @classmethod
+    def from_dict(cls, qualname: str, doc: dict) -> "ClassCertificate":
+        """Inverse of :meth:`to_dict` (a manifest ``classes`` entry)."""
+        return cls(
+            qualname=qualname,
+            kind=doc["kind"],
+            classification=doc["classification"],
+            inferred=doc["inferred"],
+            declared=doc["declared"],
+            forced=doc["forced"],
+            why=list(doc["why"]),
+            effects=dict(doc["effects"]),
+            entry_methods=list(doc["entry_methods"]),
+        )
+
 
 def _classify(merged: FunctionSummary, aliased: dict[str, str],
               aliased_globals: dict[str, str],
@@ -1249,6 +1272,9 @@ class EffectAnalysis:
     index: PackageIndex
     certificates: dict[str, ClassCertificate]
     errors: list[str]
+    #: :func:`source_digest` of the analysed tree (None when the index
+    #: was not built from one)
+    source_digest: str | None = None
 
     def get(self, qualname: str) -> ClassCertificate | None:
         return self.certificates.get(qualname)
@@ -1263,6 +1289,7 @@ class EffectAnalysis:
             "errors": sorted(self.errors),
             "generated_by": "python -m repro.lint --effects",
             "package": self.index.package,
+            "source_digest": self.source_digest,
             "version": 1,
         }
 
@@ -1302,11 +1329,16 @@ def analyze_index(index: PackageIndex) -> EffectAnalysis:
         index=index,
         certificates=certificates,
         errors=list(index.errors),
+        source_digest=(source_digest(index.src_root, index.package)
+                       if index.src_root is not None else None),
     )
 
 
 _PACKAGE_CACHE: dict[str, EffectAnalysis] = {}
 _EXTERNAL_CACHE: dict[tuple[str, str], ClassCertificate] = {}
+#: resolved src root -> certificates of its committed manifest ({} when
+#: the manifest is missing, unreadable or stale)
+_MANIFEST_CACHE: dict[str, dict[str, ClassCertificate]] = {}
 
 
 def package_src_root() -> Path:
@@ -1314,6 +1346,52 @@ def package_src_root() -> Path:
     import repro
 
     return Path(repro.__file__).resolve().parent.parent
+
+
+def source_digest(src_root: str | Path, package: str = "repro") -> str:
+    """sha256 over every file :meth:`PackageIndex.build` parses.
+
+    Each file contributes its ``src_root``-relative path and its bytes,
+    in the order the index reads them.  The key covers the whole
+    package, analyzer included: a certificate depends on callee
+    summaries in other modules and on the rules in ``repro/lint``.
+    """
+    root = Path(src_root)
+    digest = hashlib.sha256()
+    for file in sorted((root / package).rglob("*.py")):
+        data = file.read_bytes()
+        digest.update(file.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0%d\0" % len(data))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def committed_manifest_path(src_root: str | Path) -> Path:
+    """Where the committed manifest of a source tree lives."""
+    return (Path(src_root).resolve().parent / "benchmarks" / "effects"
+            / "MANIFEST.json")
+
+
+def _committed_certificates(root: Path) -> dict[str, ClassCertificate]:
+    """The committed manifest's certificates, or ``{}`` unless its
+    ``source_digest`` matches the tree (loaded once per src root)."""
+    key = str(root.resolve())
+    cached = _MANIFEST_CACHE.get(key)
+    if cached is not None:
+        return cached
+    certificates: dict[str, ClassCertificate] = {}
+    try:
+        doc = json.loads(committed_manifest_path(root).read_text(
+            encoding="utf-8"))
+        if doc["source_digest"] == source_digest(root):
+            certificates = {
+                name: ClassCertificate.from_dict(name, entry)
+                for name, entry in doc["classes"].items()
+            }
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        certificates = {}
+    _MANIFEST_CACHE[key] = certificates
+    return certificates
 
 
 def analyze_package(src_root: str | Path | None = None,
@@ -1332,15 +1410,24 @@ def classify_class(cls: type,
                    ) -> ClassCertificate:
     """Certify a runtime class object.
 
-    Package classes come from the cached package analysis; classes
-    defined elsewhere (test operators) are analyzed from their defining
-    module's source, resolved against the package index.  Classes whose
-    source cannot be found certify ``unknown``.
+    Package classes come from the committed manifest when its
+    ``source_digest`` matches the tree and it lists the class, and from
+    the cached package analysis otherwise; classes defined elsewhere
+    (test operators) are analyzed from their defining module's source,
+    resolved against the package index.  Classes whose source cannot be
+    found certify ``unknown``.
     """
     module = cls.__module__ or ""
     qualname = f"{module}.{cls.__name__}"
+    in_package = module == "repro" or module.startswith("repro.")
+    if in_package:
+        root = Path(src_root) if src_root is not None \
+            else package_src_root()
+        cert = _committed_certificates(root).get(qualname)
+        if cert is not None:
+            return cert
     analysis = analyze_package(src_root)
-    if module == "repro" or module.startswith("repro."):
+    if in_package:
         cert = analysis.get(qualname)
         if cert is not None:
             return cert

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.engine.buffers import BufferStats
 from repro.engine.operator import ProcessReceipt, StreamOperator
-from repro.streams.tuples import StreamTuple
+from repro.streams.tuples import JoinResult, StreamTuple
 
 from .hub import Obs
 
@@ -84,6 +84,11 @@ class ObservedOperator(StreamOperator):
             "adapt", start=now, end=now, labels=dict(self.labels),
             attrs=attrs,
         )
+
+    def on_finish(self, now: float) -> list[JoinResult]:
+        """Forwarded so deferred-emission modes (anti/outer survivors)
+        still flush through the wrapper."""
+        return self.inner.on_finish(now)
 
     def describe(self) -> str:
         return f"Observed({self.inner.describe()})"

@@ -66,6 +66,15 @@ class TestNodeResult:
         assert result.nodes["pass"].output_rate == 0.0
 
 
+class TestRunOnce:
+    def test_second_run_raises(self):
+        g = simple_graph()
+        cfg = SimulationConfig(duration=2.0, warmup=0.0)
+        g.run(CpuModel(1e9), cfg)
+        with pytest.raises(RuntimeError, match="runs once"):
+            g.run(CpuModel(1e9), cfg)
+
+
 class TestFanOut:
     def test_one_node_feeds_two_consumers(self):
         g = DataflowGraph()

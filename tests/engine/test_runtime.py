@@ -101,6 +101,13 @@ class TestSimulationBasics:
         ).run()
         assert res.mean_latency > 0.1
 
+    def test_second_run_raises(self):
+        cfg = SimulationConfig(duration=2.0, warmup=0.0)
+        sim = Simulation(make_sources(), EchoOperator(), CpuModel(1e9), cfg)
+        sim.run()
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run()
+
 
 class TestAdaptation:
     def test_adapt_called_each_interval(self):

@@ -9,14 +9,33 @@ mutable default arguments, ``@property`` bodies that mutate on read, and
 dict/set iteration whose order could leak into results.
 """
 
+import importlib
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
+from repro.engine import ProcessReceipt, StreamOperator
+from repro.joins import EquiJoin, MJoinOperator
+from repro.lint import effects as effects_mod
 from repro.lint.callgraph import PackageIndex
+from repro.lint.cli import main as lint_main
 from repro.lint.effects import (
     SHARDABLE,
     analyze_package,
     certify_class_info,
+    classify_class,
+    committed_manifest_path,
+    package_src_root,
 )
+from repro.parallel.sharded import certify_shard_operators
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+REGENERATE = ("PYTHONPATH=src python -m repro.lint src --effects "
+              "--manifest-out benchmarks/effects/MANIFEST.json")
 
 
 def certify(source: str, class_name: str, module: str = "repro.scratch"):
@@ -326,9 +345,160 @@ class TestPackageManifest:
         )
         assert committed.exists(), (
             "benchmarks/effects/MANIFEST.json missing — regenerate with "
-            "python -m repro.lint --effects src --manifest-out "
-            "benchmarks/effects/MANIFEST.json"
+            f"{REGENERATE}"
         )
         assert committed.read_text() == analysis.manifest_json(), (
-            "committed effect manifest is stale — regenerate it"
+            "committed effect manifest is stale — any edit under "
+            f"src/repro needs `{REGENERATE}`; a stale source_digest also "
+            "turns off the runtime gate's manifest fast path, so every "
+            "fresh process re-analyses the whole package"
         )
+
+
+class _TestOnlyOperator(StreamOperator):
+    """Defined outside the package: no manifest entry can cover it."""
+
+    num_streams = 1
+
+    def __init__(self):
+        self.seen = []
+
+    def process(self, tup, now):
+        self.seen.append(tup)
+        return ProcessReceipt(comparisons=0, outputs=[])
+
+
+class TestManifestLookup:
+    """``classify_class`` reads package certificates from the committed
+    manifest while its source digest matches the tree, and re-analyses
+    on any mismatch.  The lookup must be indistinguishable from the
+    analysis it skips."""
+
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch):
+        """Fresh per-process caches plus a spy counting index builds."""
+        monkeypatch.setattr(effects_mod, "_MANIFEST_CACHE", {})
+        monkeypatch.setattr(effects_mod, "_PACKAGE_CACHE", {})
+        monkeypatch.setattr(effects_mod, "_EXTERNAL_CACHE", {})
+        calls = []
+        real_build = PackageIndex.build.__func__
+
+        def spy(cls, src_root, package="repro"):
+            calls.append(Path(src_root))
+            return real_build(cls, src_root, package)
+
+        monkeypatch.setattr(PackageIndex, "build", classmethod(spy))
+        return calls
+
+    @staticmethod
+    def _copy_tree(tmp_path, manifest=True):
+        src = tmp_path / "src"
+        shutil.copytree(package_src_root() / "repro", src / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        if manifest:
+            target = committed_manifest_path(src)
+            target.parent.mkdir(parents=True)
+            shutil.copyfile(committed_manifest_path(package_src_root()),
+                            target)
+        return src
+
+    def _committed_entry(self, name):
+        doc = json.loads(committed_manifest_path(
+            package_src_root()).read_text())
+        return doc["classes"][name]
+
+    def test_lookup_equals_fresh_analysis(self, builds):
+        doc = json.loads(committed_manifest_path(
+            package_src_root()).read_text())
+        looked_up = {}
+        for name in doc["classes"]:
+            module, _, cls_name = name.rpartition(".")
+            cls = getattr(importlib.import_module(module), cls_name)
+            looked_up[name] = classify_class(cls)
+        assert builds == [], "every manifest class should hit the lookup"
+        fresh = analyze_package(refresh=True)
+        assert sorted(looked_up) == sorted(fresh.certificates)
+        for name, cert in looked_up.items():
+            assert cert.qualname == name
+            assert cert.to_dict() == fresh.get(name).to_dict(), name
+
+    def test_shard_gate_builds_no_index(self, builds):
+        probes = [
+            MJoinOperator(EquiJoin(), [2.0, 2.0], 1.0, index="adaptive")
+            for _ in range(2)
+        ]
+        certify_shard_operators(probes, worker_entry=True)
+        assert builds == []
+
+    def test_edit_to_non_operator_module_misses(self, tmp_path, builds):
+        src = self._copy_tree(tmp_path)
+        assert effects_mod._committed_certificates(src), (
+            "an unedited copy should match the committed digest"
+        )
+        effects_mod._MANIFEST_CACHE.clear()
+        with (src / "repro" / "core" / "cost_model.py").open("a") as fh:
+            fh.write("# an edit the certificates do not depend on\n")
+        assert effects_mod._committed_certificates(src) == {}
+        cert = classify_class(MJoinOperator, src_root=src)
+        assert builds == [src]
+        assert cert.to_dict() == self._committed_entry(
+            "repro.joins.mjoin.MJoinOperator")
+
+    @pytest.mark.parametrize("manifest", [
+        None,
+        "{ not json",
+        "[]",
+        json.dumps({"classes": {}, "version": 1}),
+        json.dumps({"classes": {"repro.joins.mjoin.MJoinOperator": {}},
+                    "source_digest": "0" * 64}),
+    ], ids=["missing", "corrupt", "not-an-object", "no-digest",
+            "stale-digest"])
+    def test_unusable_manifest_falls_back(self, tmp_path, builds,
+                                          manifest):
+        src = self._copy_tree(tmp_path, manifest=False)
+        if manifest is not None:
+            target = committed_manifest_path(src)
+            target.parent.mkdir(parents=True)
+            target.write_text(manifest)
+        cert = classify_class(MJoinOperator, src_root=src)
+        assert builds == [src]
+        assert cert.to_dict() == self._committed_entry(
+            "repro.joins.mjoin.MJoinOperator")
+
+    def test_malformed_entry_with_current_digest_falls_back(
+            self, tmp_path, builds):
+        src = self._copy_tree(tmp_path)
+        target = committed_manifest_path(src)
+        doc = json.loads(target.read_text())
+        del doc["classes"]["repro.joins.mjoin.MJoinOperator"]["effects"]
+        target.write_text(json.dumps(doc))
+        cert = classify_class(MJoinOperator, src_root=src)
+        assert builds == [src]
+        assert cert.to_dict() == self._committed_entry(
+            "repro.joins.mjoin.MJoinOperator")
+
+    def test_test_defined_operator_certifies_through_analysis(
+            self, builds):
+        cert = classify_class(_TestOnlyOperator)
+        assert builds == [package_src_root()]
+        assert cert.qualname.endswith("._TestOnlyOperator")
+        assert cert.classification in SHARDABLE
+        assert "seen" in cert.effects["mutated_writes"]
+
+    def test_check_manifest_catches_tampered_classes(
+            self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(REPO)
+        doc = json.loads(committed_manifest_path(
+            package_src_root()).read_text())
+        entry = doc["classes"]["repro.parallel.router.RouterOperator"]
+        assert entry["classification"] == "shared-state"
+        entry["classification"] = "pure"
+        tampered = tmp_path / "MANIFEST.json"
+        tampered.write_text(json.dumps(doc, indent=2, sort_keys=True)
+                            + "\n")
+        assert doc["source_digest"] == effects_mod.source_digest(
+            package_src_root())
+        assert lint_main([
+            "src", "--effects", "--check-manifest", str(tampered),
+        ]) == 1
+        assert "manifest drift" in capsys.readouterr().out

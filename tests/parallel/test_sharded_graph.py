@@ -99,6 +99,13 @@ class TestPlanStructure:
         with pytest.raises(ValueError):
             build_sharded_graph(key_sources(), make_mjoin, 0)
 
+    def test_second_run_raises(self):
+        plan = build_sharded_graph(key_sources(), make_mjoin, 2)
+        cfg = SimulationConfig(duration=2.0, warmup=0.0)
+        plan.run(fast_cpu(), cfg)
+        with pytest.raises(RuntimeError, match="runs once"):
+            plan.run(fast_cpu(), cfg)
+
 
 class TestIndependentShedding:
     def test_skewed_keys_shed_only_on_hot_shards(self):
